@@ -27,7 +27,6 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import platform
 import sys
@@ -40,6 +39,8 @@ import numpy as np
 from repro.experiments import ExperimentSpec, predict_group
 from repro.serving import PredictionServer
 from repro.workloads.sweeps import dense_sweep
+
+from bench_sweep import merge_report
 
 #: Requests in the default burst.
 DEFAULT_REQUESTS = 32
@@ -152,24 +153,6 @@ def run_benchmark(
     }
 
 
-def merge_report(path: str, serving: Dict[str, object]) -> None:
-    """Add/replace the ``serving`` section of the JSON report at ``path``.
-
-    The batch-engine benchmark owns the rest of the document; a missing or
-    unreadable file gets a fresh skeleton so the two emitters can run in
-    either order.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"benchmark": "vectorized-batch-sweep"}
-    report["serving"] = serving
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -208,7 +191,7 @@ def main(argv: Sequence[str] = None) -> int:
         requests=args.requests, points=args.points, window=args.window,
         workers=args.workers, repeats=args.repeats,
     )
-    merge_report(args.out, serving)
+    merge_report(args.out, {"serving": serving})
     print(
         f"serving burst: {serving['requests']} requests x "
         f"{serving['window_points']} of {serving['dense_points']} pts  "

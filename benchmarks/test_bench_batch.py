@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import json
 
-from benchmarks.bench_sweep import bench_entry, dense_sizes, run_benchmarks
+from benchmarks.bench_sweep import (
+    bench_entry,
+    dense_sizes,
+    merge_report,
+    run_benchmarks,
+)
 
 
 def test_bench_sweep_report(benchmark, tmp_path):
@@ -51,3 +56,23 @@ def test_dense_entry_parity_is_exact(scale):
     )
     assert entry["parity"]
     assert entry["max_abs_diff"] == 0.0
+
+
+def test_rerun_keeps_sections_owned_by_other_writers(tmp_path):
+    """Re-emitting replaces this emitter's keys and nothing else."""
+    out = tmp_path / "BENCH_sweep.json"
+    out.write_text(json.dumps({
+        "serving": {"speedup": 6.0, "parity": True},
+        "sim_batch": "stale",
+    }))
+    merge_report(str(out), {"sim_batch": [], "summary": {"parity": True}})
+    document = json.loads(out.read_text())
+    assert document["serving"] == {"speedup": 6.0, "parity": True}
+    assert document["sim_batch"] == []
+    assert document["summary"] == {"parity": True}
+
+
+def test_first_emit_creates_the_report(tmp_path):
+    out = tmp_path / "BENCH_sweep.json"
+    merge_report(str(out), {"summary": {"parity": True}})
+    assert json.loads(out.read_text()) == {"summary": {"parity": True}}

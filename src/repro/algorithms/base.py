@@ -217,8 +217,10 @@ class GPUAlgorithm(abc.ABC):
     #: Whether this algorithm's kernel traces depend on input *values*
     #: rather than just indices.  ``False`` lets the batched-simulator probe
     #: skip host-buffer copies and vectorised data fallbacks (the timing
-    #: traces cannot change); pair it with a structural :meth:`sim_inputs`
-    #: override.  Opting out requires a scalar-parity test (lint ``SIM001``).
+    #: traces cannot change) and run one block per exact class of each
+    #: kernel's ``representative_blocks`` at every grid size; pair it with a
+    #: structural :meth:`sim_inputs` override.  Opting out requires a
+    #: scalar-parity test (lint ``SIM001``).
     sim_trace_data_dependent: bool = True
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,10 @@ Each rule encodes an invariant the test suite cannot exhaustively enforce:
 ``SIM001``  batched-simulator parity coverage — every ``simulate_*``
             entry point in ``simulator/batch.py``, and every algorithm
             opting out of data-dependent probe tracing, must be
-            exercised by a test module asserting scalar parity
+            exercised by a test module asserting scalar parity; a
+            kernel in such a module that overrides
+            ``representative_blocks`` must be named by a test that
+            compares its block classes with ``execute_all``
 ==========  ==========================================================
 
 The rules are deliberately conservative: they reason over syntactic
@@ -318,6 +321,8 @@ class LockDisciplineRule(Rule):
 #: Vocabulary a test file must use (with the family name) to count as a
 #: scalar/batch parity assertion.
 _PARITY_EVIDENCE = re.compile(r"parity|bitwise|bit.for.bit", re.IGNORECASE)
+#: The oracle a block-class parity test compares representative blocks with.
+_CLASS_PARITY_EVIDENCE = "execute_all"
 
 
 def _module_str_constants(tree: ast.Module) -> Dict[str, str]:
@@ -507,8 +512,9 @@ class SimBatchParityCoverageRule(Rule):
         "The batched observation paths promise bit-for-bit agreement with "
         "the scalar per-size loops, and algorithms asserting "
         "sim_trace_data_dependent = False additionally promise their "
-        "traces ignore input values; either claim can drift silently "
-        "unless a test compares the two paths exactly."
+        "traces ignore input values and that their kernels' "
+        "representative blocks are exact classes; each claim can drift "
+        "silently unless a test compares the two paths exactly."
     )
     #: File the batched entry points live in.
     batch_suffix = "simulator/batch.py"
@@ -546,12 +552,14 @@ class SimBatchParityCoverageRule(Rule):
     def _check_opt_outs(
         self, source: SourceFile, ctx: PackageContext
     ) -> Iterator[Finding]:
+        opted_out = False
         for cls in ast.walk(source.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             opt_out = self._opt_out_assignment(cls)
             if opt_out is None:
                 continue
+            opted_out = True
             algorithm = self._algorithm_name(cls)
             if not self._has_parity_test(algorithm, ctx.test_files):
                 yield self.finding(
@@ -561,6 +569,43 @@ class SimBatchParityCoverageRule(Rule):
                     "mentions it together with a scalar-parity assertion; "
                     "the opt-out is only sound while a parity test proves "
                     "the traces ignore input values",
+                )
+        if opted_out:
+            yield from self._check_block_classes(source, ctx)
+
+    def _check_block_classes(
+        self, source: SourceFile, ctx: PackageContext
+    ) -> Iterator[Finding]:
+        """Kernels overriding ``representative_blocks`` in such a module.
+
+        The batched probe runs one block per class at every grid size for
+        data-independent algorithms, so each class must be exact: a test
+        naming the kernel must compare it with ``execute_all``.
+        """
+        for cls in ast.walk(source.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            override = next(
+                (
+                    stmt for stmt in cls.body
+                    if isinstance(stmt, ast.FunctionDef)
+                    and stmt.name == "representative_blocks"
+                ),
+                None,
+            )
+            if override is None:
+                continue
+            if not any(
+                cls.name in test.source and _CLASS_PARITY_EVIDENCE in test.source
+                for test in ctx.test_files
+            ):
+                yield self.finding(
+                    source, override.lineno,
+                    f"kernel {cls.name!r} overrides representative_blocks in "
+                    "a data-independent algorithm module but no test module "
+                    "names it and compares its classes with "
+                    f"{_CLASS_PARITY_EVIDENCE}; the probe trusts the classes "
+                    "to be exact at every grid size",
                 )
 
     @staticmethod

@@ -15,7 +15,9 @@ This module packs a sweep into *array programs*, the way
    counts, per-launch trace aggregates, syncs) instead of timed events.
    Because the genuine host program executes — same allocations, same
    launch decisions, same representative-block traces — the recorded
-   program is structurally identical to the scalar run's timeline.
+   program is structurally identical to the scalar run's timeline.  For
+   data-independent algorithms the probe runs one block per exact class
+   even where the scalar device runs every block.
 2. **Pack** — programs with the same operation structure are grouped and
    their per-operation quantities stacked into operations × sizes arrays.
 3. **Evaluate** — transfer durations come from
@@ -99,6 +101,19 @@ def _op_tag(op) -> tuple:
     return ("sync",)
 
 
+def _grid_total(values: Sequence[Tuple[float, int]], per_block: bool) -> float:
+    """Sum per-block cycle values over a grid given as ``(value, run)`` pairs.
+
+    A launch the scalar device runs in full sums one term per block in
+    block order, and ``x * k`` is not bitwise ``x + ... + x``, so such
+    launches (``per_block``) repeat each value over its run of blocks; the
+    scalar device's sampled launches sum ``value * multiplicity``.
+    """
+    if per_block:
+        return sum(value for value, run in values for _ in range(run))
+    return sum(value * count for value, count in values)
+
+
 class ProbeDevice(GPUDevice):
     """A :class:`GPUDevice` that records symbolic operations, not timings.
 
@@ -107,9 +122,11 @@ class ProbeDevice(GPUDevice):
     transaction counts depend on array base addresses), launch decisions
     follow the same functional-block-limit rule, and representative blocks
     are traced identically.  With ``data_dependent=False`` the probe skips
-    host-buffer copies and vectorised data fallbacks: safe only for
-    algorithms whose traces depend on indices, not input values (see
-    ``GPUAlgorithm.sim_trace_data_dependent``).
+    host-buffer copies and vectorised data fallbacks, and runs one block
+    per class of ``representative_blocks`` at every grid size, summing the
+    per-block cycles in block order where the scalar device would run the
+    whole grid: safe only for algorithms whose traces depend on indices,
+    not input values (see ``GPUAlgorithm.sim_trace_data_dependent``).
     """
 
     def __init__(
@@ -178,10 +195,12 @@ class ProbeDevice(GPUDevice):
             if force_functional is not None
             else grid <= self.config.functional_block_limit
         )
-        if functional:
+        if functional and self.data_dependent:
             traces = self.functional_engine.execute_all(kernel)
             pairs = [(trace, 1) for trace in traces]
         else:
+            # Data-independent kernels take this path at every grid size:
+            # one block per exact class stands for its run of blocks.
             pairs, needs_fallback = self.functional_engine.execute_sampled(kernel)
             if needs_fallback and self.data_dependent:
                 arrays = {
@@ -191,18 +210,14 @@ class ProbeDevice(GPUDevice):
                 kernel.vectorised_result(arrays)
         counters = KernelCounters.from_traces(kernel.name, pairs)
         engine = self.timing_engine
-        total_issue = sum(
-            engine.block_issue_cycles(trace) * count for trace, count in pairs
-        )
-        total_latency = sum(
-            engine.block_latency_cycles(trace) * count for trace, count in pairs
-        )
+        issue = [(engine.block_issue_cycles(t), count) for t, count in pairs]
+        latency = [(engine.block_latency_cycles(t), count) for t, count in pairs]
         self.ops.append(
             ProbeKernel(
                 name=kernel.name,
                 num_blocks=counters.num_blocks,
-                total_issue_cycles=total_issue,
-                total_latency_cycles=total_latency,
+                total_issue_cycles=_grid_total(issue, functional),
+                total_latency_cycles=_grid_total(latency, functional),
                 global_words=counters.global_words,
                 shared_words_per_block=counters.max_shared_words_per_block,
             )

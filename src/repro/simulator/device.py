@@ -15,6 +15,14 @@ Execution strategy for kernel launches:
   data results.  This keeps paper-scale sweeps (tens of millions of
   elements) tractable in pure Python while preserving the timing model's
   inputs (per-block instruction traces).
+
+This device is the scalar reference: it always runs grids under the limit
+block by block.  The batched probe
+(:class:`~repro.simulator.batch.ProbeDevice`) instead runs one block per
+exact class of
+:meth:`~repro.simulator.kernel.KernelProgram.representative_blocks` at
+every grid size when the algorithm's traces do not depend on input values,
+and reproduces this device's timings bit for bit.
 """
 
 from __future__ import annotations

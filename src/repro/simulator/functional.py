@@ -1,12 +1,19 @@
 """Fully functional block-by-block execution of kernel programs.
 
-The functional engine executes *every* block of a kernel through a
-:class:`~repro.simulator.kernel.BlockContext`, so data movement really
-happens and the complete set of block traces is available for timing.  It is
-the reference executor used by the test suite; for paper-scale grids the
-device switches to trace sampling (see
-:class:`repro.simulator.device.GPUDevice`), whose correctness against this
-engine is itself covered by tests.
+:meth:`FunctionalEngine.execute_all` executes *every* block of a kernel
+through a :class:`~repro.simulator.kernel.BlockContext`, so data movement
+really happens and the complete set of block traces is available for
+timing.  It is the reference executor: the scalar
+:class:`~repro.simulator.device.GPUDevice` uses it for grids up to its
+functional block limit, and the test suite uses it as the oracle.
+
+:meth:`FunctionalEngine.execute_sampled` executes one block per class of
+the kernel's :meth:`~repro.simulator.kernel.KernelProgram.representative_blocks`.
+The scalar device uses it for larger grids; the batched probe
+(:class:`~repro.simulator.batch.ProbeDevice`) uses it at every grid size for
+algorithms whose traces do not depend on input values, where the classes
+are exact by contract (``tests/test_sim_blocks.py`` checks them against
+``execute_all``).
 """
 
 from __future__ import annotations
@@ -56,19 +63,29 @@ class FunctionalEngine:
     def execute_sampled(
         self, kernel: KernelProgram
     ) -> Tuple[List[Tuple[BlockTrace, int]], bool]:
-        """Trace only the kernel's representative blocks.
+        """Trace one block per class of the kernel's representative blocks.
 
-        Returns ``(trace, multiplicity)`` pairs covering the grid and a flag
-        saying whether the kernel's vectorised fallback must be applied to
-        obtain functional results (always ``True`` for this method: sampled
-        execution does not perform the work of the untraced blocks).
+        Returns ``(trace, multiplicity)`` pairs, one per run of blocks in
+        block order, and a flag saying whether the kernel's vectorised
+        fallback must be applied to obtain functional results (always
+        ``True`` for this method: sampled execution does not perform the
+        work of the untraced blocks).  Each representative must lie inside
+        its run; that every block of the run has the representative's trace
+        aggregates is the kernel's contract (see
+        :meth:`KernelProgram.representative_blocks`).
         """
         kernel.validate(self.global_memory)
         grid = kernel.grid_size()
         pairs: List[Tuple[BlockTrace, int]] = []
         covered = 0
         for block_index, multiplicity in kernel.representative_blocks():
-            if not 0 <= block_index < grid:
+            if not covered <= block_index < covered + multiplicity:
+                raise ValueError(
+                    f"representative block {block_index} of kernel "
+                    f"{kernel.name!r} lies outside its run of blocks "
+                    f"[{covered}, {covered + multiplicity})"
+                )
+            if block_index >= grid:
                 raise ValueError(
                     f"representative block {block_index} outside grid of {grid}"
                 )

@@ -16,7 +16,10 @@ Kernels whose grids are too large to execute block-by-block in pure Python
 may additionally provide :meth:`KernelProgram.vectorised_result`, a NumPy
 implementation of the same semantics used by the device to fill in the
 functional results when it falls back to trace-sampling (see
-:class:`repro.simulator.device.GPUDevice`).
+:class:`repro.simulator.device.GPUDevice`).  Trace sampling relies on
+:meth:`KernelProgram.representative_blocks`, which partitions the grid into
+exact classes of blocks with equal trace aggregates; the batched probe
+uses those classes at every grid size.
 """
 
 from __future__ import annotations
@@ -226,11 +229,23 @@ class KernelProgram(abc.ABC):
         return 0
 
     def representative_blocks(self) -> Sequence[Tuple[int, int]]:
-        """Blocks to trace when the grid is too large for full execution.
+        """Exact classes of blocks: one block to trace per class.
 
-        Returns ``(block_index, multiplicity)`` pairs covering the whole
-        grid.  The default assumes a structurally uniform grid and traces the
-        first and last blocks (the last block may be ragged).
+        Returns ``(block_index, multiplicity)`` pairs that split the grid
+        into consecutive runs in block order: pair ``k`` stands for the
+        ``multiplicity`` blocks after those of the earlier pairs, and
+        ``block_index`` is one of them.  For kernels of algorithms whose
+        traces ignore input values the contract is exactness: every block
+        of a run has the same trace aggregates (compute operations, shared
+        conflict degrees, barriers, global transactions and words, shared
+        footprint) as its representative.  The batched probe relies on it
+        at every grid size, so such an override must be checked against
+        :meth:`~repro.simulator.functional.FunctionalEngine.execute_all`
+        (lint ``SIM001``); for data-dependent kernels the classes are the
+        sample the scalar device times grids over its functional limit
+        with.  The default assumes a structurally uniform grid whose last
+        block may be ragged: one run for all blocks but the last, traced at
+        block 0, and the last block on its own.
         """
         grid = self.grid_size()
         if grid <= 2:

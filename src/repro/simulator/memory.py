@@ -15,6 +15,7 @@ Three memory spaces mirror the abstract machine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,10 +40,10 @@ def coalesced_transactions(addresses: np.ndarray, words_per_block: int) -> int:
     addrs = np.asarray(addresses)
     if addrs.size == 0:
         return 0
-    if np.any(addrs < 0):
+    low = addrs.min()
+    if low < 0:
         raise InvalidAccessError("negative global-memory address in warp access")
-    blocks = np.unique(addrs // words_per_block)
-    return int(blocks.size)
+    return _transactions(*_normalized(addrs, low, words_per_block))
 
 
 def bank_conflict_degree(addresses: np.ndarray, num_banks: int) -> int:
@@ -57,12 +58,36 @@ def bank_conflict_degree(addresses: np.ndarray, num_banks: int) -> int:
     addrs = np.asarray(addresses)
     if addrs.size == 0:
         return 1
-    if np.any(addrs < 0):
+    low = addrs.min()
+    if low < 0:
         raise InvalidAccessError("negative shared-memory address in warp access")
-    distinct = np.unique(addrs)
-    banks = distinct % num_banks
-    _, counts = np.unique(banks, return_counts=True)
-    return int(counts.max()) if counts.size else 1
+    return _conflict_degree(*_normalized(addrs, low, num_banks))
+
+
+# Both warp analyses are invariant under shifting a pattern by a whole
+# number of memory blocks / bank rows, and a sweep's tens of thousands of
+# warp accesses reduce to a few dozen shifted patterns, so each analysis
+# is memoized on the pattern shifted down to its first block / bank row.
+_WARP_MEMO_SIZE = 4096
+
+
+def _normalized(addrs: np.ndarray, low, width: int) -> Tuple[bytes, str, int]:
+    """Memo key: the pattern's bytes after the shift, its dtype and width."""
+    base = low // width * width
+    return (addrs - base).tobytes(), addrs.dtype.str, width
+
+
+@lru_cache(maxsize=_WARP_MEMO_SIZE)
+def _transactions(pattern: bytes, dtype: str, words_per_block: int) -> int:
+    addrs = np.frombuffer(pattern, dtype=dtype)
+    return int(np.unique(addrs // words_per_block).size)
+
+
+@lru_cache(maxsize=_WARP_MEMO_SIZE)
+def _conflict_degree(pattern: bytes, dtype: str, num_banks: int) -> int:
+    distinct = np.unique(np.frombuffer(pattern, dtype=dtype))
+    _, counts = np.unique(distinct % num_banks, return_counts=True)
+    return int(counts.max())
 
 
 class HostMemory:

@@ -378,6 +378,52 @@ class TestSimBatchParityCoverage:
         )
         assert found == []
 
+    SIM_CLASS_KERNEL_MODULE = src(
+        """
+        class VectorAdditionKernel(KernelProgram):
+            def representative_blocks(self):
+                return [(0, self.grid_size())]
+
+        class VectorAddition(GPUAlgorithm):
+            name = "vector_addition"
+            sim_trace_data_dependent = False
+        """
+    )
+
+    def test_class_override_needs_a_class_parity_test(self):
+        found = findings_for(
+            "SIM001",
+            {"pkg/algorithms/vector_addition.py": self.SIM_CLASS_KERNEL_MODULE},
+            tests={"tests/test_sim_batch.py": SIM_PARITY_TEST},
+        )
+        assert len(found) == 1
+        assert "'VectorAdditionKernel'" in found[0].message
+        assert found[0].line == 2
+
+    def test_class_override_named_with_execute_all_is_clean(self):
+        found = findings_for(
+            "SIM001",
+            {"pkg/algorithms/vector_addition.py": self.SIM_CLASS_KERNEL_MODULE},
+            tests={
+                "tests/test_sim_batch.py": SIM_PARITY_TEST,
+                "tests/test_sim_blocks.py": (
+                    "KERNELS = {'VectorAdditionKernel'}\n"
+                    "def test_classes():\n"
+                    "    assert classes() == engine.execute_all(kernel)\n"
+                ),
+            },
+        )
+        assert found == []
+
+    def test_class_override_in_data_dependent_module_is_not_checked(self):
+        module = self.SIM_CLASS_KERNEL_MODULE.replace("False", "True")
+        found = findings_for(
+            "SIM001",
+            {"pkg/algorithms/vector_addition.py": module},
+            tests={"tests/test_other.py": "def test_nothing():\n    pass\n"},
+        )
+        assert found == []
+
     def test_data_dependent_true_is_not_checked(self):
         algorithm = src(
             """
