@@ -19,6 +19,8 @@ used to dominate the batch path at ~80 % of its time).
 The ``sim_batch`` section times ``observe_sweep`` the same way, scalar
 device loop against the batched simulator: a dense vector-addition sweep,
 and reduction and matrix multiplication over their ``default_sizes()``.
+Each of its entries also records the batched path's traced allocation
+peak (``batch_peak_mb``) from a separate, untimed ``tracemalloc`` call.
 
 Every entry asserts bit-for-bit parity between the two paths
 (``np.allclose(..., rtol=0, atol=0)``) before it is recorded, and the
@@ -43,6 +45,7 @@ import math
 import platform
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence
 
@@ -207,6 +210,8 @@ def sim_entry(name: str, algorithm, sizes: Sequence[int], repeats: int) -> Dict:
     path — and checks bit-for-bit parity of every reported series.  The
     scalar loop is timed once (it dominates the section's wall time at
     seconds to tens of seconds); the batched path is best-of-``repeats``.
+    ``batch_peak_mb`` is the traced allocation peak of one more batched
+    call, taken under ``tracemalloc`` apart from the timed calls.
     """
     sizes = list(sizes)
     start = time.perf_counter()
@@ -223,6 +228,12 @@ def sim_entry(name: str, algorithm, sizes: Sequence[int], repeats: int) -> Dict:
         start = time.perf_counter()
         algorithm.observe_sweep(sizes, path="batch")
         batch_s = min(batch_s, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        algorithm.observe_sweep(sizes, path="batch")
+        batch_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
     return {
         "name": name,
         "algorithm": algorithm.name,
@@ -230,6 +241,7 @@ def sim_entry(name: str, algorithm, sizes: Sequence[int], repeats: int) -> Dict:
         "scalar_s": scalar_s,
         "batch_s": batch_s,
         "speedup": scalar_s / batch_s if batch_s > 0 else float("inf"),
+        "batch_peak_mb": batch_peak_mb,
         "gated": algorithm.name in SIM_GATED,
         "parity": parity,
     }
@@ -476,6 +488,7 @@ def main(argv: Sequence[str] = None) -> int:
             f"scalar {sim['scalar_s']:8.2f} s   "
             f"batch {sim['batch_s'] * 1e3:7.2f} ms  "
             f"speedup {sim['speedup']:6.1f}x  "
+            f"peak {sim['batch_peak_mb']:6.2f} MB  "
             f"{'ok' if sim['parity'] else 'PARITY MISMATCH'}"
         )
     summary = report["summary"]

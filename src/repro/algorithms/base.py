@@ -215,12 +215,13 @@ class GPUAlgorithm(abc.ABC):
     #: will keep the scalar loop on ``path="auto"``.
     sim_batch_safe: bool = True
     #: Whether this algorithm's kernel traces depend on input *values*
-    #: rather than just indices.  ``False`` lets the batched-simulator probe
-    #: skip host-buffer copies and vectorised data fallbacks (the timing
-    #: traces cannot change) and run one block per exact class of each
-    #: kernel's ``representative_blocks`` at every grid size; pair it with a
-    #: structural :meth:`sim_inputs` override.  Opting out requires a
-    #: scalar-parity test (lint ``SIM001``).
+    #: rather than just indices.  ``False`` gives the batched-simulator
+    #: probe valueless device memory (arrays keep their offsets, lose their
+    #: storage), lets it skip host-buffer copies and vectorised data
+    #: fallbacks (the timing traces cannot change) and run one block per
+    #: exact class of each kernel's ``representative_blocks`` at every grid
+    #: size; pair it with a structural :meth:`sim_inputs` override.  Opting
+    #: out requires a scalar-parity test (lint ``SIM001``).
     sim_trace_data_dependent: bool = True
 
     # ------------------------------------------------------------------ #
@@ -238,11 +239,14 @@ class GPUAlgorithm(abc.ABC):
         """Inputs for the batched-simulator probe (default: real inputs).
 
         Algorithms with :attr:`sim_trace_data_dependent` ``= False``
-        override this with cheap structural stand-ins (zero arrays of the
-        right shapes and dtypes): their traces depend only on indices, so
-        the probe skips the per-size random generation the scalar path pays.
+        override this with structural stand-ins: zero-stride zero arrays
+        of the right shapes and dtypes
+        (:func:`~repro.simulator.memory.valueless_array`), which store one
+        element whatever ``n`` is.  Their traces depend only on indices,
+        so the probe skips the per-size random generation the scalar path
+        pays, and its valueless device arrays never copy the stand-ins in.
         Data-dependent algorithms keep the default, which matches the
-        scalar ``observe`` input exactly.
+        scalar ``observe`` input exactly, and the probe keeps real storage.
         """
         return self.generate_input(n, seed=seed)
 

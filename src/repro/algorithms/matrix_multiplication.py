@@ -48,7 +48,7 @@ from repro.pseudocode.program import Program, Round
 from repro.pseudocode.variables import global_var, host_var, shared_var
 from repro.simulator.device import GPUDevice
 from repro.simulator.kernel import BlockContext, KernelProgram
-from repro.simulator.memory import DeviceArray
+from repro.simulator.memory import DeviceArray, valueless_array
 from repro.utils.numerics import ceil_div
 from repro.utils.validation import ensure_positive_int
 
@@ -154,8 +154,8 @@ class MatrixMultiplication(GPUAlgorithm):
     def sim_inputs(self, n: int, seed: int = 0) -> Dict[str, np.ndarray]:
         ensure_positive_int(n, "n")
         return {
-            "A": np.zeros((n, n), dtype=np.float64),
-            "B": np.zeros((n, n), dtype=np.float64),
+            "A": valueless_array((n, n), np.float64),
+            "B": valueless_array((n, n), np.float64),
         }
 
     def reference(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:

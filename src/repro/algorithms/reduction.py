@@ -62,7 +62,7 @@ from repro.pseudocode.variables import global_var, host_var, shared_var
 from repro.simulator.device import GPUDevice
 from repro.simulator.device_pool import DevicePool
 from repro.simulator.kernel import BlockContext, KernelProgram
-from repro.simulator.memory import DeviceArray
+from repro.simulator.memory import DeviceArray, valueless_array
 from repro.simulator.streams import StreamOpKind, StreamTimeline
 from repro.simulator.timing import KernelTiming
 from repro.utils.numerics import ceil_div
@@ -169,7 +169,7 @@ class Reduction(GPUAlgorithm):
 
     def sim_inputs(self, n: int, seed: int = 0) -> Dict[str, np.ndarray]:
         ensure_positive_int(n, "n")
-        return {"A": np.zeros(n, dtype=np.int64)}
+        return {"A": valueless_array(n, np.int64)}
 
     def reference(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         return {"Ans": np.array([inputs["A"].sum()], dtype=np.int64)}
@@ -500,9 +500,12 @@ class Reduction(GPUAlgorithm):
 
         Coalesced-transaction counts depend on global-memory offsets, so
         the plan hooks must allocate ``a`` then ``partials`` exactly as
-        :meth:`run_streamed` / :meth:`run_sharded` do.
+        :meth:`run_streamed` / :meth:`run_sharded` do.  It is a valueless
+        probe device: the arrays get those offsets but no storage.
         """
-        device = GPUDevice(config)
+        from repro.simulator.batch import ProbeDevice
+
+        device = ProbeDevice(config, data_dependent=False)
         device.allocate("a", n, dtype=np.int64)
         device.allocate("partials", max(1, partials), dtype=np.int64)
         return device

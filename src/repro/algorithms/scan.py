@@ -47,7 +47,7 @@ from repro.pseudocode.program import Program, Round
 from repro.pseudocode.variables import global_var, host_var, shared_var
 from repro.simulator.device import GPUDevice
 from repro.simulator.kernel import BlockContext, KernelProgram
-from repro.simulator.memory import DeviceArray
+from repro.simulator.memory import DeviceArray, valueless_array
 from repro.utils.numerics import ceil_div
 from repro.utils.validation import ensure_positive_int
 
@@ -172,7 +172,7 @@ class PrefixSum(GPUAlgorithm):
 
     def sim_inputs(self, n: int, seed: int = 0) -> Dict[str, np.ndarray]:
         ensure_positive_int(n, "n")
-        return {"A": np.zeros(n, dtype=np.float64)}
+        return {"A": valueless_array(n, np.float64)}
 
     def reference(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         a = inputs["A"]

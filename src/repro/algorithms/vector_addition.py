@@ -54,7 +54,7 @@ from repro.pseudocode.variables import global_var, host_var, shared_var
 from repro.simulator.device import GPUDevice
 from repro.simulator.device_pool import DevicePool
 from repro.simulator.kernel import BlockContext, KernelProgram
-from repro.simulator.memory import DeviceArray
+from repro.simulator.memory import DeviceArray, valueless_array
 from repro.simulator.streams import StreamOpKind, StreamTimeline
 from repro.simulator.timing import KernelTiming
 from repro.utils.numerics import ceil_div
@@ -138,11 +138,11 @@ class VectorAddition(GPUAlgorithm):
         }
 
     def sim_inputs(self, n: int, seed: int = 0) -> Dict[str, np.ndarray]:
-        """Structural stand-ins for the probe: zeros of the real dtypes."""
+        """Structural stand-ins for the probe: zero-stride zeros of the real dtypes."""
         ensure_positive_int(n, "n")
         return {
-            "A": np.zeros(n, dtype=np.int64),
-            "B": np.zeros(n, dtype=np.int64),
+            "A": valueless_array(n, np.int64),
+            "B": valueless_array(n, np.int64),
         }
 
     def reference(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -410,9 +410,12 @@ class VectorAddition(GPUAlgorithm):
         Coalescing transaction counts depend on each array's base offset in
         global memory, so the scratch device allocates ``a``/``b``/``c`` at
         full length in the same order as the scalar paths before any kernel
-        is traced.
+        is traced.  It is a valueless probe device: the traces ignore the
+        stored values, so the arrays get offsets but no storage.
         """
-        device = GPUDevice(config)
+        from repro.simulator.batch import ProbeDevice
+
+        device = ProbeDevice(config, data_dependent=False)
         for name in ("a", "b", "c"):
             device.allocate(name, n, dtype=np.int64)
         return device

@@ -121,12 +121,15 @@ class ProbeDevice(GPUDevice):
     the same global-memory offsets as on a scalar device (coalescing
     transaction counts depend on array base addresses), launch decisions
     follow the same functional-block-limit rule, and representative blocks
-    are traced identically.  With ``data_dependent=False`` the probe skips
-    host-buffer copies and vectorised data fallbacks, and runs one block
-    per class of ``representative_blocks`` at every grid size, summing the
-    per-block cycles in block order where the scalar device would run the
-    whole grid: safe only for algorithms whose traces depend on indices,
-    not input values (see ``GPUAlgorithm.sim_trace_data_dependent``).
+    are traced identically.  With ``data_dependent=False`` the probe's
+    global memory is valueless (:class:`~repro.simulator.memory.ValuelessDeviceArray`:
+    same offsets, no storage, so memory use does not grow with the sweep),
+    it skips host-buffer copies and vectorised data fallbacks, and it runs
+    one block per class of ``representative_blocks`` at every grid size,
+    summing the per-block cycles in block order where the scalar device
+    would run the whole grid: safe only for algorithms whose traces depend
+    on indices, not input values (see
+    ``GPUAlgorithm.sim_trace_data_dependent``).
     """
 
     def __init__(
@@ -136,6 +139,7 @@ class ProbeDevice(GPUDevice):
     ) -> None:
         super().__init__(config)
         self.data_dependent = data_dependent
+        self.global_memory.valueless = not data_dependent
         self.ops: List[object] = []
 
     def memcpy_htod(self, name, data, pinned: bool = False):
@@ -166,10 +170,8 @@ class ProbeDevice(GPUDevice):
             )
         )
         # Value-faithful outputs are only needed on the data-dependent
-        # path; otherwise skip the (potentially huge) host copy.
-        if self.data_dependent:
-            return array.to_host()
-        return array.data[: array.length]
+        # path; valueless arrays hand back their read-only view.
+        return array.to_host()
 
     def memcpy_dtoh_partial(self, name, count: int, pinned: bool = False):
         array = self.global_memory.get(name)

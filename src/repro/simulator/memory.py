@@ -6,7 +6,9 @@ Three memory spaces mirror the abstract machine:
 * :class:`GlobalMemory` -- the device's off-chip memory, bounded by ``G``
   words and divided into blocks of ``b`` words; provides coalescing
   analysis (the number of block transactions needed to satisfy a warp's set
-  of addresses).
+  of addresses).  A *valueless* global memory hands out
+  :class:`ValuelessDeviceArray` s: same names, offsets and lengths, no
+  storage.
 * :class:`SharedMemory` -- per-MP on-chip memory of ``M`` words split into
   ``b`` banks; provides bank-conflict analysis (the serialisation degree of
   a warp access).
@@ -90,6 +92,17 @@ def _conflict_degree(pattern: bytes, dtype: str, num_banks: int) -> int:
     return int(counts.max())
 
 
+def valueless_array(shape, dtype=np.float64, value=0) -> np.ndarray:
+    """A read-only array of ``shape`` that stores a single element.
+
+    A zero-stride view (``np.broadcast_to``) of one ``value`` cast to
+    ``dtype``: it has the shape, size and dtype of a real array, reads
+    gather ``value``, and it allocates nothing however large ``shape`` is.
+    Structural stand-in for inputs whose values nothing depends on.
+    """
+    return np.broadcast_to(np.array(value, dtype=dtype), shape)
+
+
 class HostMemory:
     """Named host-side buffers (the CPU side of the model)."""
 
@@ -154,11 +167,38 @@ class DeviceArray:
         """Scatter ``values`` to ``indices``."""
         idx = np.asarray(indices, dtype=np.int64)
         self.global_addresses(idx)  # bounds check
+        self.scatter(idx, values)
+
+    def scatter(self, idx: np.ndarray, values: np.ndarray) -> None:
+        """Scatter ``values`` to int64 indices already bounds-checked."""
         self.data[idx] = values
 
     def to_host(self) -> np.ndarray:
         """Copy of the whole array contents."""
         return self.data.copy()
+
+
+class ValuelessDeviceArray(DeviceArray):
+    """A device array with an address and a length but no storage.
+
+    ``data`` is a read-only zero-stride view (:func:`valueless_array`), so
+    reads gather zeros (the allocation's fill, if one was given) and the
+    array costs one element however long it is.  Writes run the checks of
+    a real write -- the bounds check with the same
+    :class:`InvalidAccessError`, and the broadcast and cast of ``values``
+    onto the indices with the same NumPy error -- and then drop the
+    values.  Only observations whose traces ignore stored values may
+    run against it (``GPUAlgorithm.sim_trace_data_dependent = False``).
+    """
+
+    def scatter(self, idx: np.ndarray, values: np.ndarray) -> None:
+        # A real scatter into one word through all-zero indices of the same
+        # shape: the identical broadcast / cast checks, nothing retained.
+        np.zeros(1, dtype=self.data.dtype)[np.zeros_like(idx)] = values
+
+    def to_host(self) -> np.ndarray:
+        """The read-only view itself: there are no contents to copy."""
+        return self.data
 
 
 class GlobalMemory:
@@ -167,16 +207,21 @@ class GlobalMemory:
     Capacity is expressed in words (``G`` of the abstract machine).  The
     allocator is deliberately simple -- first fit over a sorted free list --
     because allocation performance is irrelevant here; what matters is the
-    capacity bound and stable word offsets for coalescing analysis.
+    capacity bound and stable word offsets for coalescing analysis.  With
+    ``valueless`` set, allocations are :class:`ValuelessDeviceArray` s at
+    the very offsets the same allocator gives real arrays.
     """
 
-    def __init__(self, capacity_words: int, words_per_block: int) -> None:
+    def __init__(
+        self, capacity_words: int, words_per_block: int, valueless: bool = False
+    ) -> None:
         if capacity_words <= 0:
             raise ValueError("capacity_words must be positive")
         if words_per_block <= 0:
             raise ValueError("words_per_block must be positive")
         self.capacity_words = int(capacity_words)
         self.words_per_block = int(words_per_block)
+        self.valueless = valueless
         self._arrays: Dict[str, DeviceArray] = {}
         # Free list of (offset, length) holes, kept sorted by offset.
         self._free: List[Tuple[int, int]] = [(0, self.capacity_words)]
@@ -209,10 +254,15 @@ class GlobalMemory:
             raise AllocationError(f"allocation length must be positive, got {length}")
         for i, (offset, hole) in enumerate(self._free):
             if hole >= length:
-                data = np.zeros(length, dtype=dtype)
-                if fill is not None:
-                    data[:] = fill
-                array = DeviceArray(name=name, offset=offset, length=length, data=data)
+                if self.valueless:
+                    data = valueless_array(length, dtype, 0 if fill is None else fill)
+                    array_type = ValuelessDeviceArray
+                else:
+                    data = np.zeros(length, dtype=dtype)
+                    if fill is not None:
+                        data[:] = fill
+                    array_type = DeviceArray
+                array = array_type(name=name, offset=offset, length=length, data=data)
                 remaining = hole - length
                 if remaining:
                     self._free[i] = (offset + length, remaining)

@@ -53,17 +53,56 @@ class InstructionRecord:
     label: str = ""
 
 
+_SHARED_KINDS = (InstructionKind.SHARED_READ, InstructionKind.SHARED_WRITE)
+_GLOBAL_KINDS = (InstructionKind.GLOBAL_READ, InstructionKind.GLOBAL_WRITE)
+
+
 @dataclass
 class BlockTrace:
-    """Ordered instruction trace and aggregate counters of one block."""
+    """Ordered instruction trace and aggregate counters of one block.
+
+    The aggregates are running totals, updated in record order by
+    :meth:`append` (and over ``records`` given to the constructor), so
+    reading them costs nothing however long the trace is.  Records must
+    therefore be added through :meth:`append`, not to ``records``
+    directly.
+    """
 
     block_index: int
     records: List[InstructionRecord] = field(default_factory=list)
     shared_words_used: int = 0
 
+    def __post_init__(self) -> None:
+        # Integer starts, as the built-in sum() the totals replace has.
+        self._compute_operations = 0
+        self._shared_accesses = 0
+        self._shared_conflict_sum = 0
+        self._global_transactions = 0
+        self._global_words = 0
+        self._barriers = 0
+        self._has_bank_conflicts = False
+        for record in self.records:
+            self._count(record)
+
     def append(self, record: InstructionRecord) -> None:
         """Append one instruction record."""
         self.records.append(record)
+        self._count(record)
+
+    def _count(self, record: InstructionRecord) -> None:
+        kind = record.kind
+        if kind is InstructionKind.COMPUTE:
+            self._compute_operations += record.operations
+        elif kind in _SHARED_KINDS:
+            self._shared_accesses += 1
+            self._shared_conflict_sum += record.conflict_degree
+            if record.conflict_degree > 1:
+                self._has_bank_conflicts = True
+        elif kind in _GLOBAL_KINDS:
+            self._global_transactions += record.transactions
+            self._global_words += record.words
+        elif kind is InstructionKind.BARRIER:
+            self._barriers += 1
 
     # ------------------------------------------------------------------ #
     # Aggregates consumed by the timing engine
@@ -71,50 +110,37 @@ class BlockTrace:
     @property
     def compute_operations(self) -> float:
         """Warp-instructions of arithmetic/control work."""
-        return sum(r.operations for r in self.records
-                   if r.kind is InstructionKind.COMPUTE)
+        return self._compute_operations
 
     @property
     def shared_accesses(self) -> int:
         """Number of shared-memory access instructions."""
-        return sum(1 for r in self.records
-                   if r.kind in (InstructionKind.SHARED_READ,
-                                 InstructionKind.SHARED_WRITE))
+        return self._shared_accesses
 
     @property
     def shared_conflict_cycles_factor(self) -> float:
         """Sum of conflict degrees over shared accesses (1 each if conflict free)."""
-        return float(sum(r.conflict_degree for r in self.records
-                         if r.kind in (InstructionKind.SHARED_READ,
-                                       InstructionKind.SHARED_WRITE)))
+        return float(self._shared_conflict_sum)
 
     @property
     def global_transactions(self) -> int:
         """Global-memory block transactions issued by the block."""
-        return sum(r.transactions for r in self.records
-                   if r.kind in (InstructionKind.GLOBAL_READ,
-                                 InstructionKind.GLOBAL_WRITE))
+        return self._global_transactions
 
     @property
     def global_words(self) -> int:
         """Words moved to/from global memory by the block."""
-        return sum(r.words for r in self.records
-                   if r.kind in (InstructionKind.GLOBAL_READ,
-                                 InstructionKind.GLOBAL_WRITE))
+        return self._global_words
 
     @property
     def barriers(self) -> int:
         """Number of block-wide barriers executed."""
-        return sum(1 for r in self.records if r.kind is InstructionKind.BARRIER)
+        return self._barriers
 
     @property
     def has_bank_conflicts(self) -> bool:
         """Whether any shared access serialised over banks."""
-        return any(
-            r.conflict_degree > 1
-            for r in self.records
-            if r.kind in (InstructionKind.SHARED_READ, InstructionKind.SHARED_WRITE)
-        )
+        return self._has_bank_conflicts
 
     def counters(self) -> Dict[str, float]:
         """Aggregate counters as a plain dictionary."""

@@ -127,6 +127,62 @@ class TestSharedMemory:
             shared.get("_ghost")
 
 
+def _scanned_aggregates(records):
+    """The aggregates as full scans of ``records`` (the pre-running-total
+    definitions of :class:`BlockTrace`, kept as its oracle)."""
+    shared = (InstructionKind.SHARED_READ, InstructionKind.SHARED_WRITE)
+    global_ = (InstructionKind.GLOBAL_READ, InstructionKind.GLOBAL_WRITE)
+    return {
+        "compute_operations": sum(
+            r.operations for r in records if r.kind is InstructionKind.COMPUTE
+        ),
+        "shared_accesses": sum(1 for r in records if r.kind in shared),
+        "shared_conflict_cycles_factor": float(
+            sum(r.conflict_degree for r in records if r.kind in shared)
+        ),
+        "global_transactions": sum(
+            r.transactions for r in records if r.kind in global_
+        ),
+        "global_words": sum(r.words for r in records if r.kind in global_),
+        "barriers": sum(
+            1 for r in records if r.kind is InstructionKind.BARRIER
+        ),
+        "has_bank_conflicts": any(
+            r.conflict_degree > 1 for r in records if r.kind in shared
+        ),
+    }
+
+
+# Operation counts are whole or quarter warp-instructions, as kernels
+# charge them: every partial sum is exact, so the oracle's built-in sum()
+# (compensated on Python >= 3.12) and the running totals agree bit for bit.
+_records = st.lists(st.builds(
+    InstructionRecord,
+    kind=st.sampled_from(list(InstructionKind)),
+    operations=st.integers(0, 1 << 20).map(lambda quarters: quarters / 4),
+    transactions=st.integers(0, 64),
+    words=st.integers(0, 64),
+    conflict_degree=st.integers(1, 32),
+), max_size=60)
+
+
+class TestBlockTraceAggregates:
+    @settings(max_examples=60)
+    @given(_records, st.integers(0, 60))
+    def test_running_totals_match_scans(self, records, split):
+        # Half the records come through the constructor, the rest through
+        # append: both must count, in record order.
+        trace = BlockTrace(block_index=0, records=list(records[:split]))
+        for record in records[split:]:
+            trace.append(record)
+        expected = _scanned_aggregates(records)
+        got = {name: getattr(trace, name) for name in expected}
+        assert got == expected
+        for name, value in expected.items():
+            assert type(got[name]) is type(value), name
+        assert trace.records == records
+
+
 class TestTransferEngine:
     def test_duration_is_affine_in_words(self, tiny_config):
         engine = TransferEngine(tiny_config)
