@@ -87,25 +87,30 @@ class EngineError(RuntimeError):
 
 
 class BatchCache:
-    """Memoizes compiled metrics batches and per-backend sweep predictions.
+    """Memoizes evaluated per-backend sweep predictions across calls.
 
-    Both maps key on ``(algorithm, preset, sizes)`` — predictions
-    additionally on the requested backends — which is exactly the data a
-    batched prediction depends on: cost-model evaluation is a pure function
-    of those, so repeated :meth:`Session.run_many` calls over the same
-    sweeps (different seeds, different device configurations) skip both the
-    metrics compilation and the per-backend :class:`BatchBreakdown`
-    evaluation.  ``hits`` / ``misses`` count lookups across both maps.
+    Entries key on ``(algorithm, preset, sizes, backends, topology)`` —
+    exactly the data a batched prediction depends on: cost-model evaluation
+    is a pure function of those, so repeated :meth:`Session.run_many` calls
+    over the same sweeps (different seeds, different device configurations)
+    skip both the metrics compilation and the per-backend
+    :class:`BatchBreakdown` evaluation.  ``hits`` / ``misses`` count
+    prediction lookups.
+
+    Compiled :class:`MetricsBatch` objects are deliberately not kept: a
+    batch is several times the size of the predictions evaluated from it,
+    and a server seeing distinct request windows would grow by one batch
+    per window while almost never hitting one.  :func:`predict_group`
+    shares its union batch across the clusters of one call instead.
 
     The cache is thread-safe: serving-layer workers share one instance
-    across threads.  A lookup racing a build may compile the same entry
+    across threads.  A lookup racing a build may evaluate the same entry
     twice (both threads count a miss; evaluation is pure, so the values are
     identical); the first store wins and every caller receives that one
     shared object.
     """
 
     def __init__(self) -> None:
-        self._batches: Dict[tuple, MetricsBatch] = {}
         self._predictions: Dict[tuple, SweepPrediction] = {}
         self.hits = 0
         self.misses = 0
@@ -113,30 +118,14 @@ class BatchCache:
 
     @property
     def size(self) -> int:
-        """Number of cached batches plus cached predictions."""
+        """Number of cached predictions."""
         with self._lock:
-            return len(self._batches) + len(self._predictions)
+            return len(self._predictions)
 
     def clear(self) -> None:
-        """Drop every cached batch and prediction (counters are kept)."""
+        """Drop every cached prediction (counters are kept)."""
         with self._lock:
-            self._batches.clear()
             self._predictions.clear()
-
-    def _get(self, store: Dict[tuple, object], key: tuple, build):
-        with self._lock:
-            value = store.get(key)
-            if value is not None:
-                self.hits += 1
-                return value
-            self.misses += 1
-        value = build()
-        with self._lock:
-            return store.setdefault(key, value)
-
-    def batch(self, key: tuple, build) -> MetricsBatch:
-        """The compiled batch under ``key``, building it on first use."""
-        return self._get(self._batches, key, build)
 
     def prediction(self, key: tuple, build) -> SweepPrediction:
         """The evaluated prediction under ``key``, building it on first use.
@@ -144,7 +133,15 @@ class BatchCache:
         Cached predictions are shared between results; callers must treat
         them as read-only.
         """
-        return self._get(self._predictions, key, build)
+        with self._lock:
+            value = self._predictions.get(key)
+            if value is not None:
+                self.hits += 1
+                return value
+            self.misses += 1
+        value = build()
+        with self._lock:
+            return self._predictions.setdefault(key, value)
 
     def seed_prediction(self, key: tuple, prediction: SweepPrediction) -> None:
         """Store an externally computed prediction without counting a lookup.
@@ -260,11 +257,11 @@ def predict_group(
     bit-for-bit equal to evaluating that spec alone.  Specs whose backends
     lack batch support keep the per-spec scalar path (reports included).
 
-    A :class:`BatchCache` (when supplied) memoizes the compiled batch
-    (keyed by machine, so equal-machine presets share entries) and the
-    cluster-level predictions across calls; the union prediction is looked
-    up first, so a fully warmed cache serves the group without compiling
-    anything.  Order is preserved.
+    A :class:`BatchCache` (when supplied) memoizes the cluster-level
+    union predictions across calls; they are looked up first, so a fully
+    warmed cache serves the group without compiling anything.  The union
+    batch is compiled at most once per call, shared by every cluster that
+    misses, and dropped when the call returns.  Order is preserved.
     """
     specs = list(specs)
     if not specs:
@@ -282,7 +279,6 @@ def predict_group(
     if algorithm is None:
         algorithm = create(first.algorithm)
     preset_for = [spec.resolved_preset() for spec in specs]
-    machine = preset_for[0].machine
     sizes_for = [spec.resolved_sizes(algorithm) for spec in specs]
     resolved_for = [spec.resolved_backends() for spec in specs]
     batchable = [
@@ -300,16 +296,7 @@ def predict_group(
         # (or seeded from pool results), the batch is never needed.
         nonlocal batch
         if batch is None:
-            def compile_union() -> MetricsBatch:
-                return algorithm.compile_batch(union, preset=preset_for[0])
-
-            if batch_cache is not None:
-                batch = batch_cache.batch(
-                    (algorithm.name, machine, tuple(union)),
-                    compile_union,
-                )
-            else:
-                batch = compile_union()
+            batch = algorithm.compile_batch(union, preset=preset_for[0])
         return batch
 
     shared: Dict[tuple, SweepPrediction] = {}
@@ -404,9 +391,9 @@ def execute_specs(
     ``(preset, backends)`` cluster serve every spec's prediction.
     Compilation goes through the algorithm's array-native
     :meth:`~repro.algorithms.base.GPUAlgorithm.metrics_batch` factory, and a
-    :class:`BatchCache` (when supplied) memoizes both the compiled batches
-    and the evaluated union predictions across calls.  Observations are
-    simulated per spec as before.  Order is preserved.
+    :class:`BatchCache` (when supplied) memoizes the evaluated union
+    predictions across calls (compiled batches live for one group only).
+    Observations are simulated per spec as before.  Order is preserved.
     """
     results: List[Optional[Result]] = [None] * len(specs)
     for indices in plan_groups(specs):
@@ -431,12 +418,11 @@ class ExecutionEngine(Protocol):
 class SerialEngine:
     """Execute specs one after another in the current process.
 
-    Batches route through :func:`execute_specs`, so specs sharing an
-    ``(algorithm, preset)`` pair also share one compiled
-    :class:`~repro.core.batch.MetricsBatch` for their predictions.  A
-    :class:`Session` additionally passes its :class:`BatchCache` through
-    :meth:`map_with_cache`, carrying those compiled batches and evaluated
-    predictions across calls.
+    Batches route through :func:`execute_specs`, so :func:`mergeable`
+    specs share one compiled :class:`~repro.core.batch.MetricsBatch` for
+    their predictions.  A :class:`Session` additionally passes its
+    :class:`BatchCache` through :meth:`map_with_cache`, carrying the
+    evaluated predictions (not the batches) across calls.
     """
 
     name = "serial"
@@ -447,7 +433,7 @@ class SerialEngine:
     def map_with_cache(
         self, specs: Sequence[ExperimentSpec], batch_cache: BatchCache
     ) -> List[Result]:
-        """Like :meth:`map`, memoizing batches/predictions in ``batch_cache``."""
+        """Like :meth:`map`, memoizing predictions in ``batch_cache``."""
         return execute_specs(specs, batch_cache=batch_cache)
 
 
@@ -640,8 +626,8 @@ class Session:
         self.cache_hits = 0
         self.cache_misses = 0
         self._lock = threading.RLock()
-        #: Memoized compiled metrics batches and per-backend predictions,
-        #: shared with engines that support ``map_with_cache``.
+        #: Memoized per-backend predictions, shared with engines that
+        #: support ``map_with_cache``.
         self.batch_cache = BatchCache()
 
     # ------------------------------------------------------------------ #
@@ -674,19 +660,18 @@ class Session:
 
     @property
     def batch_cache_hits(self) -> int:
-        """Lookups served from the compiled-batch/prediction memo."""
+        """Lookups served from the prediction memo."""
         return self.batch_cache.hits
 
     @property
     def batch_cache_misses(self) -> int:
-        """Batch/prediction compilations the memo could not avoid."""
+        """Prediction evaluations the memo could not avoid."""
         return self.batch_cache.misses
 
     def clear_cache(self, disk: bool = False) -> None:
         """Drop the in-memory caches (and the on-disk store with ``disk=True``).
 
-        Clears both the spec-hash result cache and the compiled-batch /
-        prediction memo.
+        Clears both the spec-hash result cache and the prediction memo.
         """
         with self._lock:
             self._memory.clear()

@@ -50,8 +50,9 @@ class PredictionServer:
     ----------
     session:
         The :class:`~repro.experiments.session.Session` to execute through
-        (its result cache and batch memo are shared by every request).  When
-        omitted the server owns a private session and closes it with itself.
+        (its result cache and prediction memo are shared by every request).
+        When omitted the server owns a private session and closes it with
+        itself.
     policy:
         Scheduling policy name (``"fifo"``, ``"fair-share"``, ``"deadline"``)
         or a :class:`~repro.serving.policies.SchedulingPolicy` instance.

@@ -7,9 +7,9 @@ manipulates data exclusively through a :class:`BlockContext`, which
 
 * performs the actual data movement (so functional execution produces real
   results),
-* records an :class:`~repro.simulator.trace.BlockTrace` of warp-level
-  instructions (global/shared accesses with their coalescing / bank-conflict
-  behaviour, compute instructions, barriers) for the timing engine, and
+* counts warp-level instructions (global/shared accesses with their
+  coalescing / bank-conflict behaviour, compute instructions, barriers) into
+  an :class:`~repro.simulator.trace.BlockTrace` for the timing engine, and
 * enforces the shared-memory capacity limit ``M``.
 
 Kernels whose grids are too large to execute block-by-block in pure Python

@@ -1,7 +1,7 @@
 """Execution traces and counters produced by the simulator.
 
-Every block execution yields a :class:`BlockTrace` -- the ordered list of
-warp-level instruction records together with aggregate counters.  Kernel
+Every block execution yields a :class:`BlockTrace` -- the aggregate
+counters of its warp-level instruction records.  Kernel
 launches aggregate block traces into a :class:`KernelCounters`, and the
 device keeps a :class:`Timeline` of launch / transfer / synchronisation
 events so examples can print a CUDA-profiler-like account of a run.
@@ -10,7 +10,7 @@ events so examples can print a CUDA-profiler-like account of a run.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -59,21 +59,20 @@ _GLOBAL_KINDS = (InstructionKind.GLOBAL_READ, InstructionKind.GLOBAL_WRITE)
 
 @dataclass
 class BlockTrace:
-    """Ordered instruction trace and aggregate counters of one block.
+    """Aggregate counters of the instructions one block executed.
 
     The aggregates are running totals, updated in record order by
-    :meth:`append` (and over ``records`` given to the constructor), so
-    reading them costs nothing however long the trace is.  Records must
-    therefore be added through :meth:`append`, not to ``records``
-    directly.
+    :meth:`append`, so reading them costs nothing however long the block
+    ran.  The records themselves are not kept: a 1024-side matmul block
+    issues thousands of them and nothing reads them back.
     """
 
     block_index: int
-    records: List[InstructionRecord] = field(default_factory=list)
     shared_words_used: int = 0
 
     def __post_init__(self) -> None:
         # Integer starts, as the built-in sum() the totals replace has.
+        self._instructions = 0
         self._compute_operations = 0
         self._shared_accesses = 0
         self._shared_conflict_sum = 0
@@ -81,15 +80,10 @@ class BlockTrace:
         self._global_words = 0
         self._barriers = 0
         self._has_bank_conflicts = False
-        for record in self.records:
-            self._count(record)
 
     def append(self, record: InstructionRecord) -> None:
-        """Append one instruction record."""
-        self.records.append(record)
-        self._count(record)
-
-    def _count(self, record: InstructionRecord) -> None:
+        """Count one instruction record into the aggregates."""
+        self._instructions += 1
         kind = record.kind
         if kind is InstructionKind.COMPUTE:
             self._compute_operations += record.operations
@@ -150,7 +144,7 @@ class BlockTrace:
             "global_transactions": float(self.global_transactions),
             "global_words": float(self.global_words),
             "barriers": float(self.barriers),
-            "instructions": float(len(self.records)),
+            "instructions": float(self._instructions),
             "shared_words_used": float(self.shared_words_used),
         }
 

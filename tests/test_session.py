@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.core.backends import (
     register_backend,
     unregister_backend,
 )
+from repro.core.batch import MetricsBatch
 from repro.core.prediction import (
     POSITIVE_TOTALS_MESSAGE,
     PredictionComparison,
@@ -32,13 +35,16 @@ from repro.experiments import (
     Result,
     ResultSet,
     Session,
+    BatchCache,
     all_figures,
     execute_spec,
     execute_specs,
     paper_specs,
+    predict_group,
     summary_statistics,
 )
 from repro.simulator.config import DeviceConfig
+from repro.workloads.sweeps import dense_sweep
 
 #: Tiny explicit sweeps so every session test executes quickly.
 TINY_SIZES = (1_000, 4_000)
@@ -595,7 +601,7 @@ class TestSpecHashMemoization:
 
 
 class TestBatchEvaluationCache:
-    """The per-backend batch memo (compiled grids + evaluated predictions)."""
+    """The per-backend prediction memo (evaluated union predictions only)."""
 
     def test_repeated_run_many_hits_batch_cache(self):
         session = Session()
@@ -603,14 +609,14 @@ class TestBatchEvaluationCache:
         first = session.run_many(specs)
         # One group: one union prediction per distinct backends tuple (both
         # specs share it — the second is scattered from the same
-        # evaluation) plus the one batch compile behind it.
-        assert session.batch_cache_misses == 2
+        # evaluation).  The batch compiled for it is not an entry.
+        assert session.batch_cache_misses == 1
         assert session.batch_cache_hits == 0
-        assert session.batch_cache.size == 2
+        assert session.batch_cache.size == 1
         # New seeds miss the spec-hash cache but are served entirely from
-        # the memoized union prediction — the batch is not even consulted.
+        # the memoized union prediction — nothing is compiled.
         second = session.run_many([tiny_spec(seed=2), tiny_spec(seed=3)])
-        assert session.batch_cache_misses == 2
+        assert session.batch_cache_misses == 1
         assert session.batch_cache_hits == 1
         assert first[0].predicted["atgpu"] == second[0].predicted["atgpu"]
 
@@ -632,10 +638,11 @@ class TestBatchEvaluationCache:
             tiny_spec(seed=0, sizes=(1_000, 16_000)),
             tiny_spec(seed=0, backends=("atgpu", "perfect")),
         ])
-        # One union batch for the group; one union prediction per distinct
-        # backends tuple (sizes are sliced out of the shared evaluation).
-        assert session.batch_cache_misses == 3
-        assert session.batch_cache.size == 3
+        # One union prediction per distinct backends tuple (sizes are
+        # sliced out of the shared evaluation); the group's one union batch
+        # is not kept.
+        assert session.batch_cache_misses == 2
+        assert session.batch_cache.size == 2
 
     def test_use_cache_false_bypasses_batch_cache(self):
         session = Session()
@@ -669,6 +676,65 @@ class TestBatchEvaluationCache:
             assert result.predicted["test-session-scalar-only"] == [1.0, 1.0]
         finally:
             unregister_backend("test-session-scalar-only")
+
+
+#: Dense grids a predict-mode server draws its request windows from.
+RETENTION_GRIDS = {
+    "vector_addition": dense_sweep(256, 100_000, 10_000_000).sizes,
+    "reduction": dense_sweep(256, 65_536, 67_108_864).sizes,
+    "matrix_multiplication": dense_sweep(256, 32, 4096).sizes,
+}
+
+#: Bytes one distinct 48-point window may leave behind in the memo.  Its
+#: three-backend union prediction retains ~6 KB; keeping the compiled
+#: batch too retained ~28 KB.
+RETAINED_PER_WINDOW_BYTES = 12 * 1024
+
+
+def _reachable(root):
+    """The instances reachable from ``root`` (classes are not followed, so
+    the walk stays inside the data ``root`` holds)."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for child in gc.get_referents(stack.pop()):
+            if id(child) not in seen and not isinstance(child, type):
+                seen.add(id(child))
+                stack.append(child)
+                yield child
+
+
+class TestBatchCacheRetention:
+    def test_distinct_windows_retain_predictions_only(self):
+        windows = [
+            ExperimentSpec(name, sizes=tuple(grid[start:start + 48]))
+            for name, grid in RETENTION_GRIDS.items()
+            for start in range(64)
+        ]
+        # Warm per-algorithm memos outside the traced window.
+        for name, grid in RETENTION_GRIDS.items():
+            predict_group(
+                [ExperimentSpec(name, sizes=tuple(grid[-8:]))],
+                batch_cache=BatchCache(),
+            )
+        cache = BatchCache()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for spec in windows:
+                predict_group([spec], batch_cache=cache)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cache.size == len(windows) == 192
+        assert not any(
+            isinstance(obj, MetricsBatch) for obj in _reachable(cache)
+        )
+        assert retained <= RETAINED_PER_WINDOW_BYTES * len(windows), (
+            retained / len(windows)
+        )
 
 
 class TestSessionThreadSafety:

@@ -104,7 +104,7 @@ class TestValuelessArrays:
                 _raised(lambda: ctx.global_write("a", np.arange(4), np.arange(3))),
             ))
             # Only the shape-mismatched write reached the trace.
-            assert len(ctx.trace.records) == 1
+            assert ctx.trace.counters()["instructions"] == 1
         assert outcomes[0] == outcomes[1]
 
     def test_valueless_array_stand_in(self):
@@ -153,6 +153,11 @@ class TestProbeStorage:
 #: to 512 MB (a 2^26-word int64 input), so any one of them breaks it.
 PEAK_BUDGET_BYTES = 2 * 1024 * 1024
 
+#: How much more the large size's peak may trace than the small size's.
+#: Keeping one record per warp instruction would cost a 1024-side matmul
+#: block ~1 MB over a 64-side one.
+GROWTH_MARGIN_BYTES = 64 * 1024
+
 #: (algorithm, small size, large size, bytes of one sweep-sized buffer)
 MEMORY_CASES = [
     ("vector_addition", 100_000, 10_000_000, 8 * 10_000_000),
@@ -189,6 +194,10 @@ class TestProbeAllocation:
         algorithm = create(name)
         assert buffer_bytes >= 4 * PEAK_BUDGET_BYTES
         for mode, observe in _observers(algorithm).items():
+            peaks = {}
             for n in (small, large):
-                peak = _traced_peak(lambda: observe([n], path="batch"))
-                assert peak <= PEAK_BUDGET_BYTES, (mode, n, peak)
+                peaks[n] = _traced_peak(lambda: observe([n], path="batch"))
+                assert peaks[n] <= PEAK_BUDGET_BYTES, (mode, n, peaks[n])
+            assert peaks[large] <= peaks[small] + GROWTH_MARGIN_BYTES, (
+                mode, peaks
+            )
